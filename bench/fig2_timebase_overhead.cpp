@@ -97,8 +97,7 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
         wl::validate_timebase_flag(cli);
         wl::validate_engine_flag(cli);
-        if (wl::engine_specs(cli).empty())
-            throw std::invalid_argument("--engine resolved to no specs");
+        wl::single_engine_spec(cli);
         wl::epoch_filter_enabled(cli);
         if (wl::filter_stripes_flag(cli).size() != 1)
             throw std::invalid_argument(
@@ -114,7 +113,7 @@ int main(int argc, char** argv) {
     // One engine spec drives the figure; the driver-level flags append as
     // registry keys (later key wins, so the flags override spec keys).
     const std::string engine_spec = wl::engine_spec_with(
-        wl::engine_specs(cli).front(),
+        wl::single_engine_spec(cli),
         std::string("filter=") + (epoch_filter ? "on" : "off") +
             ",stripes=" + std::to_string(filter_stripes) +
             ",irrev=" + std::to_string(irrev_threshold));
@@ -221,10 +220,18 @@ int main(int argc, char** argv) {
                         clock_scale >= counter_scale * 0.9 ? "PASS" : "FAIL",
                         clock_scale, counter_scale);
         } else {
-            std::printf("SHAPE-CHECK scaling: INCONCLUSIVE on %u hardware "
-                        "threads (contention needs >=4 CPUs; see ./fig2_sim "
-                        "for the paper-scale shape)\n",
-                        hardware_threads());
+            std::string why;
+            if (shared_i < 0) why = "no 'shared' series in --timebase";
+            if (clock_i < 0)
+                why += std::string(why.empty() ? "" : ", ") +
+                       "no 'perfect' clock series in --timebase";
+            if (why.empty())
+                why = std::to_string(hw_points) + " sweep point(s) within " +
+                      std::to_string(hardware_threads()) +
+                      " hardware threads, need >= 3";
+            std::printf("SHAPE-CHECK scaling: INCONCLUSIVE (%s; see "
+                        "./fig2_sim for the paper-scale shape)\n",
+                        why.c_str());
         }
         std::printf("\n");
     }

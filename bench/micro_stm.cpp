@@ -26,6 +26,7 @@
 #include <cstdio>
 
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -377,6 +378,41 @@ void bm_update_commit_orec(benchmark::State& state) {
     state.SetItemsProcessed(state.iterations());
 }
 
+// --- disjoint update commits, 1 vs 4 threads ----------------------------
+//
+// Each thread commits 10-var read-modify-write transactions on its own
+// vars, so threads share no data -- only the engine metadata every update
+// commit touches: the time base, the epoch stripes, the irrevocability
+// gate. The 4-thread rows show what that metadata costs under real
+// contention. The vars of thread i live in the i-th 16 KiB block of one
+// aligned buffer, i.e. in an epoch stripe of their own (both engines'
+// default stripe span), and the time base is the perfect clock, so no
+// counter line is shared either. Report-only: /threads: rows are outside
+// check_bench.py's cross-host gate.
+template <typename Var, typename Tx, typename Stm>
+void bm_update_commit_disjoint(benchmark::State& state, Stm& stm) {
+    struct alignas(kStripeBlock) Block {
+        unsigned char bytes[kStripeBlock];
+    };
+    constexpr int kVars = 10;
+    static_assert(kVars * sizeof(Var) <= kStripeBlock,
+                  "vars must fit one block");
+    static const std::unique_ptr<Block[]> blocks(
+        new Block[detail::EpochStripes::kMaxStripes]);
+    unsigned char* mine = blocks[state.thread_index()].bytes;
+    Var* vars[kVars];
+    for (int i = 0; i < kVars; ++i)
+        vars[i] = new (mine + i * sizeof(Var)) Var(1);
+    auto ctx = stm.make_context();
+    for (auto _ : state) {
+        ctx.run([&](Tx& tx) {
+            for (Var* v : vars) v->set(tx, v->get(tx) + 1);
+        });
+    }
+    for (Var* v : vars) v->~Var();
+    state.SetItemsProcessed(state.iterations());
+}
+
 // Write-back batching twin: the same 100-write orec update with the
 // pre-batching publish sequence (a release store per owned orec). The
 // batched default (BM_Orec_Update_Counter) must stay within
@@ -486,6 +522,15 @@ void BM_ReadOnly_Commit_Lsa(benchmark::State& s) { bm_ro_commit_lsa(s); }
 void BM_Update_Commit_Lsa(benchmark::State& s) { bm_update_commit_lsa(s); }
 void BM_ReadOnly_Commit_Orec(benchmark::State& s) { bm_ro_commit_orec(s); }
 void BM_Update_Commit_Orec(benchmark::State& s) { bm_update_commit_orec(s); }
+// One engine per row, shared by the row's threads (and its repetitions).
+void BM_Update_Commit_Disjoint_Lsa(benchmark::State& s) {
+    static LsaStm stm(tb::make("perfect"));
+    bm_update_commit_disjoint<TVar<long>, Transaction>(s, stm);
+}
+void BM_Update_Commit_Disjoint_Orec(benchmark::State& s) {
+    static OrecStm stm(tb::make("perfect"));
+    bm_update_commit_disjoint<WordVar<long>, OrecTransaction>(s, stm);
+}
 void BM_Orec_Update_NoBatch(benchmark::State& s) {
     bm_orec_update_nobatch(s);
 }
@@ -528,6 +573,8 @@ BENCHMARK(BM_Update_Commit_Lsa);
 BENCHMARK(BM_ReadOnly_Commit_Orec);
 BENCHMARK(BM_Update_Commit_Orec);
 BENCHMARK(BM_Orec_Update_NoBatch)->Arg(100);
+BENCHMARK(BM_Update_Commit_Disjoint_Lsa)->Threads(1)->Threads(4)->UseRealTime();
+BENCHMARK(BM_Update_Commit_Disjoint_Orec)->Threads(1)->Threads(4)->UseRealTime();
 
 int main(int argc, char** argv) {
     // Uniform --timebase flag: each extra spec registers the full row set

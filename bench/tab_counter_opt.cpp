@@ -64,13 +64,12 @@ int main(int argc, char** argv) {
         if (!cli.parse(argc, argv)) return 0;
         wl::validate_timebase_flag(cli);
         wl::validate_engine_flag(cli);
-        if (wl::engine_specs(cli).empty())
-            throw std::invalid_argument("--engine resolved to no specs");
+        wl::single_engine_spec(cli);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
-    const std::string engine_spec = wl::engine_specs(cli).front();
+    const std::string engine_spec = wl::single_engine_spec(cli);
     const double duration = static_cast<double>(cli.i64("duration-ms"));
     const auto accesses = static_cast<unsigned>(cli.i64("accesses"));
     const auto tb_specs = tb::split_specs(cli.str("timebase"));

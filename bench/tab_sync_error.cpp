@@ -128,13 +128,12 @@ int main(int argc, char** argv) {
             tb::make(t + sep + "devices=2,dev=1");  // typo -> clean exit 2
         }
         wl::validate_engine_flag(cli);
-        if (wl::engine_specs(cli).empty())
-            throw std::invalid_argument("--engine resolved to no specs");
+        wl::single_engine_spec(cli);
     } catch (const std::exception& e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
-    const std::string engine_spec = wl::engine_specs(cli).front();
+    const std::string engine_spec = wl::single_engine_spec(cli);
     const std::string engine_name = stm::parse_engine_spec(engine_spec).name;
     const bool multi_version = engine_name == "lsa";
     const auto threads = static_cast<unsigned>(cli.i64("threads"));

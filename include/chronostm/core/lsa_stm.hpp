@@ -79,6 +79,7 @@
 #include <vector>
 
 #include <chronostm/core/epoch_stripes.hpp>
+#include <chronostm/core/irrev_gate.hpp>
 #include <chronostm/stm/config.hpp>
 #include <chronostm/timebase/facade.hpp>
 #include <chronostm/util/failpoints.hpp>
@@ -293,98 +294,6 @@ inline void fill_fast_path_stats(TxStats& s, const StatsBlock& b) {
     s.stalled_aborts += b.stalled_aborts.load(std::memory_order_relaxed);
     s.injected_faults += b.injected_faults.load(std::memory_order_relaxed);
 }
-
-// Engine-global irrevocability gate. Word layout: bit 0 holds the
-// irrevocability token, the upper bits count update commits currently in
-// flight (each worth 2). Update commits enter before taking their first
-// lock and leave after their last unlock or rollback; a transaction that
-// escalates first claims the token bit (stalling NEW committers at the
-// gate) and then waits for the in-flight count to drain to zero, so the
-// irrevocable attempt runs against a quiescent commit pipeline: no lock is
-// held by anyone else, no version can change under its feet, and its own
-// commit needs no validation. Read-only commits never touch the gate --
-// they cannot invalidate anything.
-struct IrrevGate {
-    std::atomic<std::uint64_t> word{0};
-    // Identity of the current token holder (the TxDesc in the LSA engine,
-    // the thread context in the orec engine) so conflict arbitration can
-    // exempt it from kills.
-    std::atomic<const void*> holder{nullptr};
-
-    void enter_commit() {
-        std::uint64_t w = word.load(std::memory_order_relaxed);
-        for (;;) {
-            if (w & 1u) {
-                // An irrevocable transaction is running; it is guaranteed
-                // to finish, so waiting here is bounded.
-                std::this_thread::yield();
-                w = word.load(std::memory_order_relaxed);
-                continue;
-            }
-            if (word.compare_exchange_weak(w, w + 2,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
-                return;
-        }
-    }
-    void exit_commit() { word.fetch_sub(2, std::memory_order_acq_rel); }
-
-    void acquire(const void* who) {
-        std::uint64_t w = word.load(std::memory_order_relaxed);
-        for (;;) {
-            if (w & 1u) {  // one irrevocable transaction at a time
-                std::this_thread::yield();
-                w = word.load(std::memory_order_relaxed);
-                continue;
-            }
-            if (word.compare_exchange_weak(w, w | 1u,
-                                           std::memory_order_acq_rel,
-                                           std::memory_order_relaxed))
-                break;
-        }
-        holder.store(who, std::memory_order_release);
-        // Drain: in-flight committers finish (or roll back) on their own;
-        // none of them can block on us because we hold no locks yet.
-        std::uint64_t spins = 0;
-        while (word.load(std::memory_order_acquire) >> 1 != 0) {
-            cpu_relax();
-            if ((++spins & 63u) == 0) std::this_thread::yield();
-        }
-    }
-    void release() {
-        holder.store(nullptr, std::memory_order_release);
-        word.fetch_and(~std::uint64_t{1}, std::memory_order_acq_rel);
-    }
-    bool held_by(const void* who) const {
-        return who != nullptr &&
-               holder.load(std::memory_order_acquire) == who;
-    }
-};
-
-// Exception-safe gate exit: commit() arms this after enter_commit() so
-// every path out -- success, rollback returns, AbortTx, or a throwing
-// value copy during write-back -- decrements the in-flight count.
-struct GateGuard {
-    IrrevGate* gate = nullptr;
-    ~GateGuard() {
-        if (gate) gate->exit_commit();
-    }
-};
-
-// Exception-safe token release for run(): the normal commit path releases
-// the token in txn_commit; this guard covers abnormal exits (an exception
-// escaping the user functor while escalated must not leave the engine
-// wedged behind a stuck token).
-struct TokenGuard {
-    IrrevGate* gate = nullptr;
-    bool* held = nullptr;
-    ~TokenGuard() {
-        if (held != nullptr && *held) {
-            gate->release();
-            *held = false;
-        }
-    }
-};
 
 // Commit descriptor life cycle. Kill CASes are only legal from Locking or
 // NeedTs; Committed is the point of no return.
@@ -1098,10 +1007,12 @@ class Transaction {
                 std::uint64_t dev, detail::StatsBlock* stats,
                 detail::TxDesc* desc, detail::AccessSets* sets,
                 detail::EpochStripes* stripes,
-                detail::IrrevGate* gate, bool* token_held)
+                detail::IrrevGate* gate, unsigned gate_slot,
+                bool* token_held)
         : clk_(clk), cfg_(cfg), cm_(cm), dev_(dev), stats_(stats),
           desc_(desc), sets_(sets), stripes_(stripes), gate_(gate),
-          token_held_(token_held), irrevocable_(*token_held) {
+          gate_slot_(gate_slot), token_held_(token_held),
+          irrevocable_(*token_held) {
         sets_->reset();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
         // Per-stripe epoch snapshots are taken lazily at the stripe's
@@ -1562,14 +1473,16 @@ class Transaction {
         }
 
         // Update commits run inside the irrevocability gate: held at the
-        // door while a token holder is active, counted in flight otherwise
-        // so an escalating transaction can drain the pipeline. The token
-        // holder itself skips the gate -- it IS the gate. The guard exits
-        // on every path out, including exceptions.
+        // door while a token holder is active, counted in flight on the
+        // context's own slot otherwise so an escalating transaction can
+        // drain the pipeline. The token holder itself skips the gate -- it
+        // IS the gate. The guard exits on every path out, including
+        // exceptions.
         detail::GateGuard gate_guard;
         if (!irrevocable_) {
-            gate_->enter_commit();
+            gate_->enter_commit(gate_slot_);
             gate_guard.gate = gate_;
+            gate_guard.slot = gate_slot_;
         }
 
         auto* d = desc_;
@@ -1861,6 +1774,7 @@ class Transaction {
     detail::AccessSets* sets_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    unsigned gate_slot_;
     // Owning context's token flag: true while the context holds the
     // engine-global irrevocability token (it survives aborted attempts,
     // so the retry of a failed escalation reruns irrevocably).
@@ -1989,7 +1903,7 @@ class ThreadContext {
     Transaction txn_begin() {
         return Transaction(clk_, cfg_, cm_, dev_, stats_.get(),
                                desc_.get(), &sets_, stripes_, gate_,
-                               &token_held_);
+                               gate_slot_, &token_held_);
     }
 
     bool txn_commit(Transaction& tx) {
@@ -2035,7 +1949,8 @@ class ThreadContext {
           stats_(std::move(stats)),
           desc_(std::move(desc)),
           stripes_(stripes),
-          gate_(gate) {}
+          gate_(gate),
+          gate_slot_(gate->assign_slot()) {}
 
     Clock clk_;
     StmConfig cfg_;
@@ -2045,6 +1960,9 @@ class ThreadContext {
     std::shared_ptr<detail::TxDesc> desc_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    // This context's in-flight slot in the gate (round-robin at
+    // make_context; shared with other contexts past IrrevGate::kSlots).
+    unsigned gate_slot_;
     // True while this context holds the engine-global irrevocability
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.
@@ -2138,7 +2056,7 @@ class LsaStm {
     // True while some transaction holds the irrevocability token; exposed
     // for tests and instrumentation.
     bool irrevocable_active() const {
-        return irrev_gate_.word.load(std::memory_order_acquire) & 1u;
+        return irrev_gate_.active();
     }
 
  private:
@@ -2150,9 +2068,10 @@ class LsaStm {
     // their read set touched. filter_stripes=1 degenerates to the old
     // single commit-epoch word.
     detail::EpochStripes epoch_stripes_;
-    // Irrevocability gate (token bit + in-flight update-commit count);
-    // own cache line, touched twice per update commit.
-    alignas(64) detail::IrrevGate irrev_gate_;
+    // Irrevocability gate: token line plus per-context in-flight slots.
+    // An update commit RMWs only its own context's slot and reads the
+    // token line, which stays shared-clean until someone escalates.
+    detail::IrrevGate irrev_gate_;
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<detail::StatsBlock>> blocks_;
     std::vector<std::shared_ptr<detail::TxDesc>> descs_;

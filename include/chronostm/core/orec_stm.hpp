@@ -66,6 +66,7 @@
 #include <vector>
 
 #include <chronostm/core/epoch_stripes.hpp>
+#include <chronostm/core/irrev_gate.hpp>
 #include <chronostm/core/lsa_stm.hpp>
 #include <chronostm/stm/config.hpp>
 #include <chronostm/timebase/facade.hpp>
@@ -403,10 +404,12 @@ class OrecTransaction {
                     detail::OrecAccessSets* sets,
                     detail::RecentStamps* recent,
                     detail::EpochStripes* stripes,
-                    detail::IrrevGate* gate, bool* token_held)
+                    detail::IrrevGate* gate, unsigned gate_slot,
+                    bool* token_held)
         : clk_(clk), cfg_(cfg), stm_(stm), dev_(dev), stats_(stats),
           sets_(sets), recent_(recent), stripes_(stripes), gate_(gate),
-          token_held_(token_held), irrevocable_(*token_held) {
+          gate_slot_(gate_slot), token_held_(token_held),
+          irrevocable_(*token_held) {
         sets_->reset();
         cache_table();
         CHRONOSTM_FP_SINK(&stats_->injected_faults);
@@ -666,6 +669,7 @@ class OrecTransaction {
     detail::RecentStamps* recent_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    unsigned gate_slot_;
     // Owning context's token flag: true while the context holds the
     // engine-global irrevocability token (it survives aborted attempts,
     // so the retry of a failed escalation reruns irrevocably).
@@ -769,7 +773,7 @@ class OrecThreadContext {
     OrecTransaction txn_begin() {
         return OrecTransaction(clk_, cfg_, stm_, dev_, stats_.get(),
                                &sets_, &recent_, stripes_, gate_,
-                               &token_held_);
+                               gate_slot_, &token_held_);
     }
 
     bool txn_commit(OrecTransaction& tx) {
@@ -806,7 +810,8 @@ class OrecThreadContext {
                       detail::EpochStripes* stripes,
                       detail::IrrevGate* gate)
         : clk_(std::move(clk)), cfg_(cfg), stm_(stm), dev_(dev),
-          stats_(std::move(stats)), stripes_(stripes), gate_(gate) {}
+          stats_(std::move(stats)), stripes_(stripes), gate_(gate),
+          gate_slot_(gate->assign_slot()) {}
 
     Clock clk_;
     OrecConfig cfg_;
@@ -815,6 +820,9 @@ class OrecThreadContext {
     std::shared_ptr<detail::StatsBlock> stats_;
     detail::EpochStripes* stripes_;
     detail::IrrevGate* gate_;
+    // This context's in-flight slot in the gate (round-robin at
+    // make_context; shared with other contexts past IrrevGate::kSlots).
+    unsigned gate_slot_;
     // True while this context holds the engine-global irrevocability
     // token; survives aborted attempts so a failed escalation retries
     // irrevocably instead of re-queuing for the token.
@@ -929,7 +937,7 @@ class OrecStm {
     // True while some transaction holds the irrevocability token; exposed
     // for tests and instrumentation.
     bool irrevocable_active() const {
-        return irrev_gate_.word.load(std::memory_order_acquire) & 1u;
+        return irrev_gate_.active();
     }
 
  private:
@@ -943,9 +951,10 @@ class OrecStm {
     // stripes its write set hashes into; filtered validation compares
     // only the stripes the read set touched.
     detail::EpochStripes epoch_stripes_;
-    // Irrevocability gate (token bit + in-flight update-commit count);
-    // own cache line, touched twice per update commit.
-    alignas(64) detail::IrrevGate irrev_gate_;
+    // Irrevocability gate: token line plus per-context in-flight slots.
+    // An update commit RMWs only its own context's slot and reads the
+    // token line, which stays shared-clean until someone escalates.
+    detail::IrrevGate irrev_gate_;
     mutable std::mutex mu_;
     std::vector<std::shared_ptr<detail::StatsBlock>> blocks_;
 };
@@ -1106,14 +1115,15 @@ inline bool OrecTransaction::commit() {
     }
 
     // Update commits run inside the irrevocability gate: held at the door
-    // while a token holder is active, counted in flight otherwise so an
-    // escalating transaction can drain the pipeline. The token holder
-    // itself skips the gate -- it IS the gate. The guard exits on every
-    // path out, including exceptions.
+    // while a token holder is active, counted in flight on the context's
+    // own slot otherwise so an escalating transaction can drain the
+    // pipeline. The token holder itself skips the gate -- it IS the gate.
+    // The guard exits on every path out, including exceptions.
     detail::GateGuard gate_guard;
     if (!irrevocable_) {
-        gate_->enter_commit();
+        gate_->enter_commit(gate_slot_);
         gate_guard.gate = gate_;
+        gate_guard.slot = gate_slot_;
     }
 
     // Lock phase. Granule-address order is deterministic across

@@ -75,11 +75,15 @@ inline void validate_engine_flag(const Cli& cli) {
         stm::make(spec);
 }
 
-// First spec's engine name; legacy single-engine drivers branch on this.
-inline bool engine_is_orec(const Cli& cli) {
-    const auto specs = stm::split_engine_specs(cli.str("engine"));
-    return !specs.empty() &&
-           stm::parse_engine_spec(specs.front()).name == "orec";
+// The one spec a single-engine driver runs. A list is rejected, not cut
+// to its first spec: the driver would measure one engine and label its
+// --json with all of them. Callers map the throw to exit 2.
+inline std::string single_engine_spec(const Cli& cli) {
+    const auto specs = engine_specs(cli);
+    if (specs.size() != 1)
+        throw std::invalid_argument("--engine takes exactly one spec here, "
+                                    "got '" + cli.str("engine") + "'");
+    return specs.front();
 }
 
 // Append registry params to an engine spec (later key wins, so driver
