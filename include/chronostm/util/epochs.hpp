@@ -147,8 +147,14 @@ class EpochDomain {
     // below min(pinned locals) -- or below the global epoch when nobody is
     // pinned -- are safe to free.
     std::uint64_t try_advance() noexcept {
+        // The scan holds a strong reference to every live participant. If
+        // an owner drops its handle meanwhile, the scan's reference is the
+        // last one, and releasing it runs the deleter, which takes mu_ in
+        // adopt_orphans(). So the references are released only after mu_
+        // is (declared after `scanned`, hence unlocked before it dies).
+        std::vector<std::shared_ptr<Participant>> scanned;
         std::lock_guard<std::mutex> lk(mu_);
-        return advance_locked();
+        return advance_locked(scanned);
     }
 
     // Latest horizon computed by try_advance(); entries with
@@ -169,10 +175,12 @@ class EpochDomain {
  private:
     friend class Participant;
 
-    std::uint64_t advance_locked() noexcept {
+    std::uint64_t advance_locked(
+        std::vector<std::shared_ptr<Participant>>& scanned) noexcept {
         const std::uint64_t g = global_.load(std::memory_order_acquire);
         std::uint64_t min_pinned = ~std::uint64_t{0};
         bool all_current = true;
+        scanned.reserve(parts_.size());
         for (auto it = parts_.begin(); it != parts_.end();) {
             auto p = it->lock();
             if (!p) {
@@ -184,6 +192,7 @@ class EpochDomain {
                 if (l < min_pinned) min_pinned = l;
                 if (l != g) all_current = false;
             }
+            scanned.push_back(std::move(p));
             ++it;
         }
         if (all_current) {

@@ -178,6 +178,36 @@ void check_epoch_domain() {
     CHECK(d.stats().limbo == 0);
 }
 
+// A thread that drops its participant handle while another thread's
+// try_advance() scans the table leaves the scan holding the last
+// reference, whose deleter adopts the limbo under the domain mutex. That
+// must not self-deadlock the advancing thread.
+void check_exit_during_advance() {
+    eb::EpochDomain d;
+    std::atomic<bool> stop{false};
+    std::thread advancer([&] {
+        while (!stop.load()) d.try_advance();
+    });
+    std::atomic<bool> freed{false};
+    for (int round = 0; round < 300; ++round) {
+        std::vector<std::thread> ts;
+        for (int t = 0; t < 3; ++t)
+            ts.emplace_back([&] {
+                auto p = d.register_participant();
+                p->pin();
+                p->retire(::operator new(8), &mark_freed, &freed);
+                p->unpin();
+            });
+        for (auto& t : ts) t.join();
+    }
+    stop.store(true);
+    advancer.join();
+    d.try_advance();
+    d.try_advance();
+    CHECK(d.stats().retired == 900);
+    CHECK(d.stats().limbo == 0);
+}
+
 // ---- HeapCtx attempt semantics ----------------------------------------
 
 void check_heapctx_semantics() {
@@ -545,6 +575,7 @@ void check_failpoint_parked_reader() {
 
 int main() {
     check_epoch_domain();
+    check_exit_during_advance();
     check_heapctx_semantics();
 
     std::vector<std::string> tb_specs = {"shared"};
