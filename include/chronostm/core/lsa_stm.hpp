@@ -27,14 +27,15 @@
 //    address order, draws one new timestamp from the time base, validates
 //    the read set, then publishes values with the new version timestamp.
 //    Once the descriptor is published as Committed, the write-back is
-//    claim-based and idempotent: any thread that meets a locked orec can
+//    taken by one claim for the whole write set: the owner normally wins
+//    it, but any thread that meets a locked orec can win it instead and
 //    finish the commit on the owner's behalf (StmConfig::help_committers),
 //    which keeps the system moving when a committer is preempted.
 //  * Conflict resolution is delegated to a pluggable contention manager
 //    (StmConfig::contention_manager): suicide, polite (backoff), aggressive,
 //    karma, timestamp. Managers that abort the enemy do so cooperatively by
-//    CASing the owner's descriptor from Locking/NeedTs to Killed; a
-//    descriptor that reached Committed can no longer be killed, only helped.
+//    CASing the owner's descriptor from Locking to Killed; a descriptor
+//    that reached Committed can no longer be killed, only helped.
 //  * With an externally synchronized time base, every version's validity
 //    range is shrunk at both ends by the pairwise stamp uncertainty (twice
 //    the published per-stamp deviation bound: both the version's stamp and
@@ -124,7 +125,7 @@ struct StmConfig : stm::CommonConfig {
     // Conflict arbitration policy; see CmPolicy. Parsed once per LsaStm.
     std::string contention_manager = "polite";
     // Test-only: invoked on the committing thread right after its
-    // descriptor is published as Committed (claims armed) and before it
+    // descriptor is published as Committed (claim armed) and before it
     // applies its own write set -- lets tests freeze a committer at the
     // exact point where helping can take over. Leave empty in production.
     std::function<void()> commit_publish_hook;
@@ -134,10 +135,8 @@ class TxStats {
  public:
     TxStats() = default;
     TxStats(std::uint64_t commits, std::uint64_t aborts,
-            std::uint64_t helped_c = 0, std::uint64_t helped_ts = 0,
-            std::uint64_t false_conf = 0)
+            std::uint64_t helped_c = 0, std::uint64_t false_conf = 0)
         : helped_commits(helped_c),
-          helped_timestamps(helped_ts),
           false_conflicts(false_conf),
           commits_(commits),
           aborts_(aborts) {}
@@ -145,15 +144,10 @@ class TxStats {
     std::uint64_t commits() const { return commits_; }
     std::uint64_t aborts() const { return aborts_; }
 
-    // Helping counters (LSA-RT), public so drivers can sum them directly.
-    // helped_commits counts help EVENTS -- calls in which a thread applied
-    // at least one write record of a foreign decided commit -- not
-    // distinct commits: several helpers splitting one large write set each
-    // count one event. helped_timestamps is reserved (always 0 today):
-    // timestamp helping needs per-attempt draw tagging to be sound -- see
-    // the note in core/lsa_stm.hpp's detail namespace.
+    // Commit helping (LSA-RT), public so benches can sum it directly:
+    // foreign decided commits whose whole write-back a thread took over.
+    // A commit is claimed once, so each helped commit counts once.
     std::uint64_t helped_commits = 0;
-    std::uint64_t helped_timestamps = 0;
 
     // Orec-table aliasing events (core/orec_stm.hpp): number of times a
     // transaction observed two DISTINCT granule addresses mapping to the
@@ -257,7 +251,6 @@ struct StatsBlock {
     std::atomic<std::uint64_t> commits{0};
     std::atomic<std::uint64_t> aborts{0};
     std::atomic<std::uint64_t> helped_commits{0};
-    std::atomic<std::uint64_t> helped_timestamps{0};
     std::atomic<std::uint64_t> false_conflicts{0};
     std::atomic<std::uint64_t> extensions{0};
     std::atomic<std::uint64_t> extension_fast_hits{0};
@@ -295,12 +288,11 @@ inline void fill_fast_path_stats(TxStats& s, const StatsBlock& b) {
     s.injected_faults += b.injected_faults.load(std::memory_order_relaxed);
 }
 
-// Commit descriptor life cycle. Kill CASes are only legal from Locking or
-// NeedTs; Committed is the point of no return.
+// Commit descriptor life cycle. Kill CASes are only legal from Locking;
+// Committed is the point of no return.
 enum TxStatus : int {
     kTxIdle = 0,
-    kTxLocking,    // acquiring write-set locks in address order
-    kTxNeedTs,     // locks held, waiting for a commit timestamp
+    kTxLocking,    // locking the write set, drawing the stamp, validating
     kTxCommitted,  // decided; write-back may be claimed by anybody
     kTxKilled,     // a contention manager aborted this attempt
 };
@@ -308,7 +300,8 @@ enum TxStatus : int {
 class TVarBase;
 
 // Type-erased write record: lives in the owning context's arena, applied
-// (value publish + orec unlock) by the owner or by a helper. Type erasure
+// (value publish + orec unlock) by the owner or by the helper that won the
+// commit's claim. Type erasure
 // is a plain function pointer -- no vtable, no virtual destructor -- so
 // records are trivially destructible and the arena can recycle them by
 // rewinding a pointer.
@@ -318,15 +311,15 @@ struct CommitRec {
     void (*apply_fn)(CommitRec*, std::uint64_t new_ts, std::uint64_t old_ts,
                      unsigned keep_old, bool publish) = nullptr;
     // Full apply: store the new value and publish/unlock the version word
-    // with its own release fence. Used by helpers, which claim records one
-    // at a time and must leave each one fully published.
+    // with its own release fence. Used by helpers, which publish record by
+    // record so a waiter on any one var is released as soon as it lands.
     void apply(std::uint64_t new_ts, std::uint64_t old_ts,
                unsigned keep_old) {
         apply_fn(this, new_ts, old_ts, keep_old, true);
     }
     // Data-only apply for the owner's batched write-back: stores the value
     // (and history rotation) but leaves the version word locked. The caller
-    // publishes all claimed records after one shared release fence.
+    // publishes every record after one shared release fence.
     void apply_data(std::uint64_t new_ts, std::uint64_t old_ts,
                     unsigned keep_old) {
         apply_fn(this, new_ts, old_ts, keep_old, false);
@@ -660,9 +653,6 @@ struct AccessSets {
     FlatVec<CommitRec*> writes;  // records live in `arena`
     WriteArena arena;
     PtrIndex write_index;  // TVar* -> index into `writes` (pre-sort only)
-    // Commit-time scratch: slot indices this owner claimed, so the batched
-    // write-back can publish them all after a single release fence.
-    FlatVec<std::uint32_t> claimed;
     // Striped epoch-filter state for the in-flight attempt: the read-set
     // stripe signature plus the per-stripe epoch snapshots taken at first
     // touch (core/epoch_stripes.hpp).
@@ -673,98 +663,63 @@ struct AccessSets {
         writes.clear();
         arena.reset();
         write_index.clear();
-        claimed.clear();
         stripes.reset();
     }
 };
 
 // Published commit descriptor, one per thread context, reused across
-// transactions. Locked orecs point at it. Reuse is tag-guarded: write-set
-// slots are claimable only under the current sequence number, and slot
-// arrays only ever grow (retired arrays are kept until the descriptor
-// dies), so a stale helper can always dereference what it loaded and its
-// claim CAS is guaranteed to fail.
+// transactions. Locked vars point at it. A decided commit's write-back is
+// taken by ONE claim on the seq-tagged `claim` word: 2q while attempt q is
+// decided and untaken, 2q+1 once the owner or a single helper has won it.
+// The winner applies the whole write set, so a commit costs one claim, not
+// one per record. Reuse is tag-guarded: a helper holding a stale view
+// fails its claim CAS, and the write-set view is read only after a won
+// claim, while the owner provably still waits on its locks.
 struct TxDesc {
     std::atomic<int> status{kTxIdle};
     std::atomic<std::uint64_t> seq{0};
+    std::atomic<std::uint64_t> claim{0};  // 2*seq armed, 2*seq+1 taken
+    // Write-set view for the claim winner: the owner's own address-sorted
+    // record array, which it cannot reuse before every lock is released.
+    std::atomic<CommitRec* const*> recs{nullptr};
+    std::atomic<std::size_t> n_recs{0};
     std::atomic<std::uint64_t> new_ts{0};
     std::atomic<unsigned> keep_old{0};
     // Contention-manager metadata for the in-flight attempt.
     std::atomic<std::uint64_t> karma{0};
     std::atomic<std::uint64_t> start_ts{0};
-
-    struct Slot {
-        std::atomic<std::uint64_t> claim{0};  // 2*seq armed, 2*seq+1 taken
-        std::atomic<CommitRec*> rec{nullptr};
-    };
-    // Capacity travels with the array: a helper that pairs a stale array
-    // with a newer (larger) n_slots clamps to the array's own capacity
-    // instead of indexing out of bounds (the claim tags then make every
-    // stale access a failed CAS).
-    struct SlotArray {
-        explicit SlotArray(std::size_t c)
-            : cap(c), slots(std::make_unique<Slot[]>(c)) {}
-        const std::size_t cap;
-        const std::unique_ptr<Slot[]> slots;
-    };
-    std::atomic<SlotArray*> slots{nullptr};
-    std::atomic<std::size_t> n_slots{0};
-
-    // Owner-only; helpers read the array through the atomic pointer.
-    SlotArray* ensure_capacity(std::size_t n) {
-        auto* cur = slots.load(std::memory_order_relaxed);
-        if (cur != nullptr && n <= cur->cap) return cur;
-        std::size_t want = cur != nullptr ? cur->cap * 2 : 8;
-        while (want < n) want *= 2;
-        arenas_.push_back(std::make_unique<SlotArray>(want));
-        slots.store(arenas_.back().get(), std::memory_order_release);
-        return arenas_.back().get();
-    }
-
- private:
-    std::vector<std::unique_ptr<SlotArray>> arenas_;
 };
 
-// Finish a foreign Committed transaction's write-back. Claims are tagged
+// Finish a foreign Committed transaction's write-back. The claim is tagged
 // with the descriptor's sequence number, so helping a descriptor that has
-// since been reused degrades to a no-op (every CAS fails). Returns true if
-// this call applied at least one write record.
+// since been reused degrades to a failed CAS. Returns true if this call
+// won the claim and applied the write set.
 inline bool help_apply(TxDesc* d, StatsBlock* stats) {
     if (d->status.load(std::memory_order_acquire) != kTxCommitted)
         return false;
+    // `q` may be stale (the descriptor may have moved on since the status
+    // load); a stale tag simply fails the CAS. The write-set view must NOT
+    // be read before winning: attempt q+1's claim could otherwise be
+    // applied with attempt q's records or new_ts.
     const std::uint64_t q = d->seq.load(std::memory_order_acquire);
-    auto* arr = d->slots.load(std::memory_order_acquire);
-    std::size_t n = d->n_slots.load(std::memory_order_acquire);
-    if (arr == nullptr || n == 0) return false;
-    // NOTE: everything loaded so far may be stale (the descriptor may have
-    // been recycled for a later attempt between the loads) -- staleness is
-    // caught by the claim tag below, never acted on, and `arr` and `n` may
-    // even be from different attempts, so n is clamped to the array's own
-    // capacity. The write-set metadata must NOT be read here: a claim for
-    // attempt q+1 could otherwise be applied with attempt q's new_ts.
-    if (n > arr->cap) n = arr->cap;
-    auto* slots = arr->slots.get();
-    bool helped = false;
-    for (std::size_t i = 0; i < n; ++i) {
-        std::uint64_t expect = 2 * q;
-        if (!slots[i].claim.compare_exchange_strong(
-                expect, 2 * q + 1, std::memory_order_acq_rel,
-                std::memory_order_relaxed))
-            continue;
-        // A successful claim proves attempt q is still in write-back (the
-        // owner recycles the descriptor only once every slot has been
-        // claimed and applied), so metadata read AFTER the claim is
-        // exactly attempt q's, stable, and visible: the claim CAS
-        // synchronizes with the owner's post-publish claim store.
-        auto* rec = slots[i].rec.load(std::memory_order_relaxed);
-        const std::uint64_t nts = d->new_ts.load(std::memory_order_relaxed);
-        const unsigned keep = d->keep_old.load(std::memory_order_relaxed);
-        rec->apply(nts, rec->locked_word >> 1, keep);
-        helped = true;
-    }
-    if (helped && stats != nullptr)
+    std::uint64_t expect = 2 * q;
+    if (!d->claim.compare_exchange_strong(expect, 2 * q + 1,
+                                          std::memory_order_acq_rel,
+                                          std::memory_order_relaxed))
+        return false;
+    // A won claim proves attempt q is decided and its owner is parked until
+    // every lock clears, so the view read AFTER the claim is exactly
+    // attempt q's, stable, and visible: the CAS synchronizes with the
+    // owner's release store that armed the claim.
+    CommitRec* const* recs = d->recs.load(std::memory_order_relaxed);
+    const std::size_t n = d->n_recs.load(std::memory_order_relaxed);
+    const std::uint64_t nts = d->new_ts.load(std::memory_order_relaxed);
+    const unsigned keep = d->keep_old.load(std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i)
+        recs[i]->apply(nts, recs[i]->locked_word >> 1, keep);
+    if (stats != nullptr)
         stats->helped_commits.fetch_add(1, std::memory_order_relaxed);
-    return helped;
+    return true;
 }
 
 // Timestamp helping (a helper drawing the commit stamp on a stalled
@@ -775,8 +730,7 @@ inline bool help_apply(TxDesc* d, StatsBlock* stats) {
 // between its status check and its draw). A pre-lock stamp would let a
 // fresh reader accept the commit's writes inside a snapshot that still
 // contains pre-lock state. Helpers therefore only ever finish decided
-// commits; StatsBlock::helped_timestamps stays reserved for a future
-// scheme that can tag draws per attempt.
+// commits.
 
 }  // namespace detail
 
@@ -812,20 +766,66 @@ class TVarBase {
 };
 
 // Old versions live in a ring written only while the lock bit is held;
-// readers snapshot entries and recheck vlock_ to detect slot reuse.
+// readers snapshot entries and recheck vlock_ to detect slot reuse. Both
+// ring layouts below expose `head` (newest entry), `size` (live entries),
+// capacity() and at(i); commit_write and read_old_version wrap by compare.
+template <typename T>
+struct OldVersion {
+    std::atomic<T> value{};
+    std::atomic<std::uint64_t> from{0};
+    std::atomic<std::uint64_t> until{0};
+};
+
+// Full-depth ring embedded in word-sized TVars.
 template <typename T>
 struct VersionHistory {
-    struct OldVersion {
-        std::atomic<T> value{};
-        std::atomic<std::uint64_t> from{0};
-        std::atomic<std::uint64_t> until{0};
-    };
-    // Control words first: for word-sized TVars the ring is embedded in
-    // the var itself, and this keeps the commit-touched head/size on the
-    // TVar's first cache line next to vlock_ and value_.
+    // Control words first: the ring is embedded in the var itself, and
+    // this keeps the commit-touched head/size on the TVar's first cache
+    // line next to vlock_ and value_.
     std::atomic<unsigned> head{0};
     std::atomic<unsigned> size{0};
-    std::array<OldVersion, kMaxHistory> slots{};
+    std::array<OldVersion<T>, kMaxHistory> slots{};
+
+    static constexpr unsigned capacity() { return kMaxHistory; }
+    OldVersion<T>& at(unsigned i) { return slots[i]; }
+    const OldVersion<T>& at(unsigned i) const { return slots[i]; }
+};
+
+// Heap ring holding exactly the entries the allocating commit's history
+// depth (keep_old = max_versions - 1) can fill; the control words and the
+// `cap` entries share one allocation.
+template <typename T>
+struct alignas(OldVersion<T>) SizedHistory {
+    std::atomic<unsigned> head{0};
+    std::atomic<unsigned> size{0};
+    const unsigned cap;
+
+    unsigned capacity() const { return cap; }
+    OldVersion<T>& at(unsigned i) { return entries()[i]; }
+    const OldVersion<T>& at(unsigned i) const {
+        return const_cast<SizedHistory*>(this)->entries()[i];
+    }
+
+    static SizedHistory* create(unsigned cap) {
+        void* mem = ::operator new(
+            sizeof(SizedHistory) + cap * sizeof(OldVersion<T>),
+            std::align_val_t{alignof(SizedHistory)});
+        auto* h = new (mem) SizedHistory(cap);
+        for (unsigned i = 0; i < cap; ++i)
+            new (h->entries() + i) OldVersion<T>;
+        return h;
+    }
+    // Every member is trivially destructible: releasing the block is all.
+    static void destroy(SizedHistory* h) {
+        if (h != nullptr)
+            ::operator delete(h, std::align_val_t{alignof(SizedHistory)});
+    }
+
+ private:
+    explicit SizedHistory(unsigned c) : cap(c) {}
+    OldVersion<T>* entries() {
+        return std::launder(reinterpret_cast<OldVersion<T>*>(this + 1));
+    }
 };
 
 // Where a TVar's history ring lives. Word-sized T (<= 8 bytes) embeds the
@@ -833,12 +833,13 @@ struct VersionHistory {
 // pointer chase on commit_write or old-version reads. The embedded ring
 // adds cold cache lines of footprint per var, but they are touched only by
 // history machinery -- plain reads and single-version commits stay on the
-// first line, where head/size sit next to vlock_/value_. Wider T keeps the
-// PR 3 shape: one lazy heap allocation on the first committed write that
-// keeps history, so single-version configurations stay a few words wide.
+// first line, where head/size sit next to vlock_/value_. Wider T (and the
+// engine facade's slot cells) allocate a right-sized ring lazily on the
+// first committed write that keeps history, so single-version
+// configurations stay a few words wide.
 template <typename T, bool Inline = (sizeof(T) <= 8 && alignof(T) <= 8)>
 struct HistoryHolder {
-    VersionHistory<T>* hist_for_write() { return &h_; }
+    VersionHistory<T>* hist_for_write(unsigned) { return &h_; }
     const VersionHistory<T>* hist_for_read() const { return &h_; }
     void clear_history() { h_.size.store(0, std::memory_order_release); }
     VersionHistory<T> h_{};
@@ -847,29 +848,33 @@ struct HistoryHolder {
 template <typename T>
 struct HistoryHolder<T, false> {
     HistoryHolder() = default;
-    ~HistoryHolder() { delete h_.load(std::memory_order_acquire); }
+    ~HistoryHolder() {
+        SizedHistory<T>::destroy(h_.load(std::memory_order_acquire));
+    }
     HistoryHolder(const HistoryHolder&) = delete;
     HistoryHolder& operator=(const HistoryHolder&) = delete;
 
     // Called with the owning TVar's lock bit held by exactly one thread
-    // (the committing owner or the helper that claimed the record), so the
-    // one-time allocation races nobody.
-    VersionHistory<T>* hist_for_write() {
+    // (the committing owner or the helper that claimed the commit), so the
+    // one-time allocation races nobody. The ring keeps the capacity it was
+    // allocated with: a later commit under a deeper max_versions keeps
+    // at most that many old versions.
+    SizedHistory<T>* hist_for_write(unsigned keep_old) {
         auto* h = h_.load(std::memory_order_relaxed);
         if (h == nullptr) {
-            h = new VersionHistory<T>;
+            h = SizedHistory<T>::create(keep_old);
             h_.store(h, std::memory_order_release);
         }
         return h;
     }
-    const VersionHistory<T>* hist_for_read() const {
+    const SizedHistory<T>* hist_for_read() const {
         return h_.load(std::memory_order_acquire);
     }
     void clear_history() {
         auto* h = h_.load(std::memory_order_relaxed);
         if (h != nullptr) h->size.store(0, std::memory_order_release);
     }
-    std::atomic<VersionHistory<T>*> h_{nullptr};
+    std::atomic<SizedHistory<T>*> h_{nullptr};
 };
 
 }  // namespace detail
@@ -896,10 +901,8 @@ class TVar : public TVarBase {
  private:
     friend class Transaction;
 
-    using History = detail::VersionHistory<T>;
-
     // Called with the lock bit held by exactly one thread (the committing
-    // owner or the helper that claimed this record). `old_ts` is the
+    // owner or the helper that claimed this commit). `old_ts` is the
     // version being replaced (the lock word no longer carries it: locked
     // words hold the descriptor pointer). The release fence keeps the
     // (earlier) lock store visible before any of the data stores below on
@@ -914,19 +917,19 @@ class TVar : public TVarBase {
                       unsigned keep_old, bool publish) {
         if (publish) std::atomic_thread_fence(std::memory_order_release);
         if (keep_old > 0) {
-            History* h = hist_.hist_for_write();
-            const unsigned head =
-                (h->head.load(std::memory_order_relaxed) + 1) %
-                detail::kMaxHistory;
-            auto& slot = h->slots[head];
+            auto* h = hist_.hist_for_write(keep_old);
+            const unsigned cap = h->capacity();
+            unsigned head = h->head.load(std::memory_order_relaxed) + 1;
+            if (head == cap) head = 0;
+            auto& slot = h->at(head);
             slot.value.store(value_.load(std::memory_order_relaxed),
                              std::memory_order_relaxed);
             slot.from.store(old_ts, std::memory_order_relaxed);
             slot.until.store(new_ts, std::memory_order_relaxed);
             h->head.store(head, std::memory_order_release);
-            const unsigned cap = std::min(keep_old, detail::kMaxHistory);
             const unsigned sz = h->size.load(std::memory_order_relaxed);
-            h->size.store(std::min(sz + 1, cap), std::memory_order_release);
+            h->size.store(std::min({sz + 1, keep_old, cap}),
+                          std::memory_order_release);
         } else {
             hist_.clear_history();
         }
@@ -1049,7 +1052,7 @@ class Transaction {
     // that attempt a spurious abort, never correctness.
     static void try_kill(detail::TxDesc* d) {
         int s = d->status.load(std::memory_order_acquire);
-        if (s == detail::kTxLocking || s == detail::kTxNeedTs)
+        if (s == detail::kTxLocking)
             d->status.compare_exchange_strong(s, detail::kTxKilled,
                                               std::memory_order_acq_rel,
                                               std::memory_order_relaxed);
@@ -1377,12 +1380,11 @@ class Transaction {
     bool read_old_version(TVar<T, H>& var, std::uint64_t w1, T& out) {
         const auto* h = var.hist_.hist_for_read();
         if (h == nullptr) return false;  // never kept history
+        const unsigned cap = h->capacity();
         const unsigned n = h->size.load(std::memory_order_acquire);
-        const unsigned head = h->head.load(std::memory_order_acquire);
-        for (unsigned k = 0; k < n; ++k) {
-            const auto& slot =
-                h->slots[(head + detail::kMaxHistory - k) %
-                         detail::kMaxHistory];
+        unsigned i = h->head.load(std::memory_order_acquire);
+        for (unsigned k = 0; k < n; ++k, i = (i == 0 ? cap : i) - 1) {
+            const auto& slot = h->at(i);
             const std::uint64_t from =
                 slot.from.load(std::memory_order_acquire);
             const std::uint64_t until =
@@ -1438,10 +1440,10 @@ class Transaction {
     }
 
     // Commit protocol: lock the write set in address order (descriptor
-    // pointer goes into each orec), publish NeedTs and draw or receive the
-    // commit timestamp, validate reads, publish Committed, then claim-and-
-    // apply the write set -- racing any helpers doing the same. Returns
-    // false on conflict or kill (caller counts the abort and retries).
+    // pointer goes into each orec), draw the commit timestamp, validate
+    // reads, publish Committed, then claim the write-back -- racing any
+    // helper for the one claim. Returns false on conflict or kill (caller
+    // counts the abort and retries).
     bool commit() {
         auto& writes = sets_->writes;
         if (writes.empty()) {
@@ -1527,18 +1529,9 @@ class Transaction {
         // the last lock is acquired -- a pre-lock stamp would let a reader
         // that began after the stamp accept our writes next to pre-lock
         // state it already read (see the timestamp-helping note above).
-        int expect = detail::kTxLocking;
-        if (irrevocable_) {
-            // The token holder ignores stale kills (a racer holding a
-            // descriptor pointer from an earlier attempt): it cannot be
-            // aborted, so the status moves by plain store.
-            d->status.store(detail::kTxNeedTs, std::memory_order_release);
-        } else if (!d->status.compare_exchange_strong(
-                       expect, detail::kTxNeedTs,
-                       std::memory_order_acq_rel,
-                       std::memory_order_relaxed)) {
-            return rollback(writes.size());  // killed while locking
-        }
+        // A kill landing anywhere from here to the decision is caught by
+        // the Locking -> Committed CAS below.
+        //
         // Bump every DISTINCT stripe the write set hashes into while every
         // write lock is held and BEFORE the stamp draw: a reader whose
         // stripe check misses a bump drew its extension time before our
@@ -1674,78 +1667,68 @@ class Transaction {
         for (const auto* rec : writes)
             new_ts = std::max(new_ts, (rec->locked_word >> 1) + 1);
 
-        // Stage the helper-visible write-set view. Claims stay tagged with
-        // the previous attempt until after the Committed CAS below, so no
-        // helper can apply an attempt that might still be killed.
-        auto* slots = d->ensure_capacity(writes.size())->slots.get();
-        for (std::size_t i = 0; i < writes.size(); ++i)
-            slots[i].rec.store(writes[i], std::memory_order_relaxed);
-        d->n_slots.store(writes.size(), std::memory_order_relaxed);
+        // Stage the helper-visible write-set view. The claim stays tagged
+        // with an earlier attempt until after the Committed CAS below, so
+        // no helper can apply an attempt that might still be killed.
+        d->recs.store(writes.begin(), std::memory_order_relaxed);
+        d->n_recs.store(writes.size(), std::memory_order_relaxed);
         d->new_ts.store(new_ts, std::memory_order_relaxed);
         d->keep_old.store(keep_old, std::memory_order_relaxed);
         d->seq.store(q, std::memory_order_relaxed);
 
-        expect = detail::kTxNeedTs;
+        int expect = detail::kTxLocking;
         if (irrevocable_) {
+            // The token holder ignores stale kills (a racer holding a
+            // descriptor pointer from an earlier attempt): it cannot be
+            // aborted, so the status moves by plain store.
             d->status.store(detail::kTxCommitted,
                             std::memory_order_release);
         } else if (!d->status.compare_exchange_strong(
                        expect, detail::kTxCommitted,
                        std::memory_order_acq_rel,
                        std::memory_order_relaxed)) {
-            return rollback(writes.size());  // killed at the buzzer
+            return rollback(writes.size());  // killed before the decision
         }
-        for (std::size_t i = 0; i < writes.size(); ++i)
-            slots[i].claim.store(2 * q, std::memory_order_release);
+        d->claim.store(2 * q, std::memory_order_release);
 
         if (cfg_.commit_publish_hook) cfg_.commit_publish_hook();
         // Chaos harness: a committer parked here is decided but has
         // applied nothing -- the window commit helping exists for.
         (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_writeback);
 
-        // Claim-and-apply our own write set, racing helpers for each slot.
-        // Batched write-back: claim every slot first, run the data stores
-        // for all claimed records, then publish their version words behind
-        // a single release fence -- one fence per batch instead of one per
-        // record. Helpers that win claims keep the per-record fenced path
-        // (apply with publish=true), so mixed ownership stays correct
-        // var-by-var.
-        auto& claimed = sets_->claimed;
-        claimed.clear();
-        for (std::size_t i = 0; i < writes.size(); ++i) {
-            std::uint64_t expect_claim = 2 * q;
-            if (slots[i].claim.compare_exchange_strong(
-                    expect_claim, 2 * q + 1, std::memory_order_acq_rel,
-                    std::memory_order_relaxed))
-                claimed.push_back(static_cast<std::uint32_t>(i));
-        }
-        // Fence #1: the (earlier) lock stores stay visible before any data
-        // store -- a reader that observes new data and rechecks the lock
-        // word must see the lock (see commit_write's seqlock note).
-        std::atomic_thread_fence(std::memory_order_release);
-        for (std::uint32_t i = 0; i < claimed.size(); ++i) {
-            auto* rec = writes[claimed[i]];
-            rec->apply_data(new_ts, rec->locked_word >> 1, keep_old);
-        }
-        // Chaos harness: data applied, version words still locked.
-        (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock);
-        // Fence #2: all data stores precede every version publish below
-        // ([atomics.fences]: fence-release paired with the readers'
-        // acquire loads of the version word). kFencedPublishOrder is
-        // relaxed except under TSan, which cannot model thread fences.
-        std::atomic_thread_fence(std::memory_order_release);
-        for (std::uint32_t i = 0; i < claimed.size(); ++i)
-            writes[claimed[i]]->var->vlock_.store(
-                new_ts << 1, kFencedPublishOrder);
-        // Wait until every orec is unlocked (a helper may still be midway
-        // through a claimed slot) before the write records -- which that
-        // helper dereferences -- can be recycled along with the arena.
-        for (const auto* rec : writes) {
-            std::uint64_t spins = 0;
-            while (rec->var->vlock_.load(std::memory_order_acquire) ==
-                   my_lock_word()) {
-                cpu_relax();
-                if ((++spins & 255u) == 0) std::this_thread::yield();
+        std::uint64_t expect_claim = 2 * q;
+        if (d->claim.compare_exchange_strong(expect_claim, 2 * q + 1,
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed)) {
+            // Won our own claim: no helper can touch the write set, so
+            // write it back batched. Fence #1: the (earlier) lock stores
+            // stay visible before any data store -- a reader that
+            // observes new data and rechecks the lock word must see the
+            // lock (see commit_write's seqlock note).
+            std::atomic_thread_fence(std::memory_order_release);
+            for (auto* rec : writes)
+                rec->apply_data(new_ts, rec->locked_word >> 1, keep_old);
+            // Chaos harness: data applied, version words still locked.
+            (void)CHRONOSTM_FAILPOINT(lsa_commit_pre_unlock);
+            // Fence #2: all data stores precede every version publish
+            // below ([atomics.fences]: fence-release paired with the
+            // readers' acquire loads of the version word).
+            // kFencedPublishOrder is relaxed except under TSan, which
+            // cannot model thread fences.
+            std::atomic_thread_fence(std::memory_order_release);
+            for (auto* rec : writes)
+                rec->var->vlock_.store(new_ts << 1, kFencedPublishOrder);
+        } else {
+            // A helper won the claim and is applying the whole write set:
+            // wait until it has released every lock before the records it
+            // dereferences can be recycled along with the arena.
+            for (const auto* rec : writes) {
+                std::uint64_t spins = 0;
+                while (rec->var->vlock_.load(std::memory_order_acquire) ==
+                       my_lock_word()) {
+                    cpu_relax();
+                    if ((++spins & 255u) == 0) std::this_thread::yield();
+                }
             }
         }
         d->status.store(detail::kTxIdle, std::memory_order_release);
@@ -1927,7 +1910,6 @@ class ThreadContext {
             stats_->commits.load(std::memory_order_relaxed),
             stats_->aborts.load(std::memory_order_relaxed),
             stats_->helped_commits.load(std::memory_order_relaxed),
-            stats_->helped_timestamps.load(std::memory_order_relaxed),
             stats_->false_conflicts.load(std::memory_order_relaxed));
         detail::fill_fast_path_stats(s, *stats_);
         return s;
@@ -2009,18 +1991,17 @@ class LsaStm {
 
     // Aggregate counters over every context ever created.
     TxStats collected_stats() const {
-        std::uint64_t c = 0, a = 0, hc = 0, ht = 0, fc = 0;
+        std::uint64_t c = 0, a = 0, hc = 0, fc = 0;
         std::lock_guard<std::mutex> g(mu_);
         TxStats partial;
         for (const auto& b : blocks_) {
             c += b->commits.load(std::memory_order_relaxed);
             a += b->aborts.load(std::memory_order_relaxed);
             hc += b->helped_commits.load(std::memory_order_relaxed);
-            ht += b->helped_timestamps.load(std::memory_order_relaxed);
             fc += b->false_conflicts.load(std::memory_order_relaxed);
             detail::fill_fast_path_stats(partial, *b);
         }
-        TxStats s(c, a, hc, ht, fc);
+        TxStats s(c, a, hc, fc);
         s.extensions = partial.extensions;
         s.extension_fast_hits = partial.extension_fast_hits;
         s.validation_fast_hits = partial.validation_fast_hits;

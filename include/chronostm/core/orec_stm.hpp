@@ -795,7 +795,7 @@ class OrecThreadContext {
     TxStats stats() const {
         TxStats s(
             stats_->commits.load(std::memory_order_relaxed),
-            stats_->aborts.load(std::memory_order_relaxed), 0, 0,
+            stats_->aborts.load(std::memory_order_relaxed), 0,
             stats_->false_conflicts.load(std::memory_order_relaxed));
         detail::fill_fast_path_stats(s, *stats_);
         return s;
@@ -900,7 +900,7 @@ class OrecStm {
             fc += b->false_conflicts.load(std::memory_order_relaxed);
             detail::fill_fast_path_stats(partial, *b);
         }
-        TxStats s(c, a, 0, 0, fc);
+        TxStats s(c, a, 0, fc);
         s.extensions = partial.extensions;
         s.extension_fast_hits = partial.extension_fast_hits;
         s.validation_fast_hits = partial.validation_fast_hits;
@@ -1272,31 +1272,34 @@ inline bool OrecTransaction::commit() {
         rollback();
         return false;
     }
-    if (lower_ > commit_ts) {
+    // One stamp for the whole write set, and it must clear both the
+    // snapshot's lower bound and every locked version (per-orec
+    // monotonicity). The stamp is never bumped to fit: a bumped value is
+    // a stamp this commit did not draw, possibly one another context
+    // drew, and that context's own-stamp admission would then accept
+    // these writes as its own commit.
+    std::uint64_t floor = lower_;
+    for (const auto& rec : ws)
+        if (rec.owner) floor = std::max(floor, (rec.locked_word >> 1) + 1);
+    if (commit_ts < floor) {
         if (irrevocable_) {
             // The token holder cannot abort on a freshness problem: pull
             // the time base forward by drawing (and discarding) stamps
-            // until the commit stamp clears the snapshot's lower bound.
-            // Each draw advances the counter, so this terminates.
+            // until the commit stamp clears the floor. Each draw advances
+            // the counter, so this terminates.
             do {
                 commit_ts = clk_.get_new_ts();
-            } while (lower_ > commit_ts);
+            } while (commit_ts < floor);
             recent_->push(commit_ts);
         } else {
-            // A stamp that lags the snapshot is a time-base freshness
-            // problem (batched/sharded blocks), not a data conflict.
+            // A stamp that lags the snapshot or a locked version is a
+            // time-base freshness problem (batched/sharded blocks), not a
+            // data conflict.
             commit_stamp_stale_ = true;
             rollback();
             return false;
         }
     }
-
-    // One stamp for the whole write set, bumped above every locked
-    // version for per-orec monotonicity under coarse or tied stamps.
-    std::uint64_t new_ts = commit_ts;
-    for (const auto& rec : ws)
-        if (rec.owner)
-            new_ts = std::max(new_ts, (rec.locked_word >> 1) + 1);
 
     // Publish. The first release fence keeps the lock CASes above ordered
     // before the data stores. Partial-granule records merge with memory --
@@ -1333,13 +1336,13 @@ inline bool OrecTransaction::commit() {
         std::atomic_thread_fence(std::memory_order_release);
         for (const auto& rec : ws)
             if (rec.owner)
-                rec.orec->store(new_ts << 1, kFencedPublishOrder);
+                rec.orec->store(commit_ts << 1, kFencedPublishOrder);
     } else {
         // Pre-batching publish sequence (per-orec release stores), kept
         // selectable so the bench can pin batched against unbatched.
         for (const auto& rec : ws)
             if (rec.owner)
-                rec.orec->store(new_ts << 1, std::memory_order_release);
+                rec.orec->store(commit_ts << 1, std::memory_order_release);
     }
     return true;
 }

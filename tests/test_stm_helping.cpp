@@ -1,7 +1,7 @@
 // Tier-1 regression for StmConfig::help_committers: the two modes must
 // actually diverge. A committer (thread A) is frozen via the test hook at
 // the exact point where its commit is decided (descriptor Committed,
-// claims armed) but its write set not yet applied -- the situation a
+// claim armed) but its write set not yet applied -- the situation a
 // preempted committer creates in production. A conflicting writer (thread
 // B) then runs:
 //
@@ -9,10 +9,16 @@
 //                  still frozen; helped counters are nonzero.
 //   * helping OFF: B can only spin on A's lock and abort; it must not
 //                  commit until A is released, and no helping is counted.
+//
+// A third schedule races three helpers at one frozen 32-var commit: the
+// commit's write-back is claimed once, so exactly one helper applies all of
+// it and the others wait for its locks to clear.
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <thread>
+#include <vector>
 
 #include <chronostm/core/lsa_stm.hpp>
 
@@ -93,11 +99,79 @@ Outcome run_schedule(bool help) {
     if (!help) b.join();
 
     const auto stats = stm.collected_stats();
-    out.helped = stats.helped_commits + stats.helped_timestamps;
+    out.helped = stats.helped_commits;
     out.x_final = x.unsafe_peek();
     out.y_final = y.unsafe_peek();
     out.commits = stats.commits();
     return out;
+}
+
+constexpr int kVars = 32;
+constexpr int kHelpers = 3;
+constexpr int kPerHelper = 8;  // helper k increments vars [8k, 8k + 8)
+constexpr long kCommitted = 1000;
+
+void racing_helpers() {
+    std::atomic<bool> stall_armed{true};
+    std::atomic<bool> a_stalled{false};
+    std::atomic<bool> release_a{false};
+
+    StmConfig cfg;
+    cfg.commit_publish_hook = [&] {
+        if (stall_armed.exchange(false)) {
+            a_stalled.store(true, std::memory_order_release);
+            spin_until(release_a);
+        }
+    };
+    LsaStm stm(tb::make("shared"), cfg);
+    std::vector<std::unique_ptr<TVar<long>>> v;
+    for (int i = 0; i < kVars; ++i)
+        v.push_back(std::make_unique<TVar<long>>(0));
+
+    std::atomic<bool> a_done{false};
+    std::thread a([&] {
+        auto ctx = stm.make_context();
+        ctx.run([&](Tx& tx) {
+            for (auto& var : v) var->set(tx, kCommitted);
+        });
+        a_done.store(true, std::memory_order_release);
+    });
+    spin_until(a_stalled);
+
+    std::atomic<bool> go{false};
+    std::vector<std::thread> helpers;
+    for (int k = 0; k < kHelpers; ++k)
+        helpers.emplace_back([&, k] {
+            auto ctx = stm.make_context();
+            spin_until(go);
+            ctx.run([&](Tx& tx) {
+                for (int i = k * kPerHelper; i < (k + 1) * kPerHelper; ++i)
+                    v[i]->set(tx, v[i]->get(tx) + k + 1);
+            });
+        });
+    go.store(true, std::memory_order_release);
+    for (auto& h : helpers) h.join();
+
+    // Every helper committed through the frozen owner's decided commit.
+    CHECK(!a_done.load(std::memory_order_acquire));
+    const auto mid = stm.collected_stats();
+    CHECK_MSG(mid.helped_commits == 1,
+              "one decided commit must be claimed exactly once: "
+              "helped_commits=%llu",
+              static_cast<unsigned long long>(mid.helped_commits));
+    for (int i = 0; i < kVars; ++i) {
+        const int k = i / kPerHelper;
+        const long want = kCommitted + (k < kHelpers ? k + 1 : 0);
+        CHECK_MSG(v[i]->unsafe_peek() == want, "var %d holds %ld, want %ld",
+                  i, v[i]->unsafe_peek(), want);
+    }
+
+    release_a.store(true, std::memory_order_release);
+    a.join();
+    CHECK(a_done.load(std::memory_order_acquire));
+    const auto end = stm.collected_stats();
+    CHECK(end.helped_commits == 1);
+    CHECK(end.commits() == 1 + kHelpers);
 }
 
 }  // namespace
@@ -133,6 +207,7 @@ int main() {
         CHECK(o.x_final == 11 && o.y_final == 1);
         CHECK(o.commits == 2);
     }
+    racing_helpers();
     std::printf("test_stm_helping: PASS\n");
     return 0;
 }

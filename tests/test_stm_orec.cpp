@@ -251,6 +251,59 @@ void straddling_write() {
     CHECK(rd == val);
 }
 
+// Own-stamp admission must never see a stamp another context drew.
+// Deterministic single-thread schedule on sharded:S=4,K=4 (dev = 20
+// stamp units) with contexts C/A/B bound to shards 0/1/2:
+//   1. B commits Q four times (stamps 6..18; the watermark stays 0).
+//   2. C increments X six times: X at version 24, watermark 5.
+//   3. A commits Z: its shard lags, lifts to 5 and draws stamp 25.
+//   4. A begins (upper 20) and reads Y = 0.
+//   5. B blind-writes X = Y = 100, drawing the lagging stamp 22 while X
+//      is locked at version 24.
+//   6. A reads X. A version stamped 25 would pass A's own-stamp check
+//      although B wrote it, and A would commit the torn snapshot
+//      (X = 100, Y = 0). B's commit must not publish a stamp it did not
+//      draw; it retries with a fresh stamp instead, which A cannot admit.
+void own_stamp_admission_never_sees_foreign_stamp() {
+    OrecStm stm(tb::make("sharded:S=4,K=4"));
+    auto c = stm.make_context();
+    auto a = stm.make_context();
+    auto b = stm.make_context();
+    struct alignas(64) Line {
+        long v = 0;
+    };
+    Line x, y, z, q;
+
+    for (long i = 1; i <= 4; ++i)
+        b.run([&](OrecTransaction& tx) { tx_write(tx, &q.v, i); });
+    for (int i = 0; i < 6; ++i)
+        c.run([&](OrecTransaction& tx) {
+            tx_write(tx, &x.v, tx_read(tx, &x.v) + 1);
+        });
+    a.run([&](OrecTransaction& tx) { tx_write(tx, &z.v, 1L); });
+
+    auto tx = a.txn_begin();
+    const long y_seen = tx_read(tx, &y.v);
+    CHECK(y_seen == 0);
+
+    b.run([&](OrecTransaction& btx) {
+        tx_write(btx, &x.v, 100L);
+        tx_write(btx, &y.v, 100L);
+    });
+    CHECK(x.v == 100 && y.v == 100);
+
+    long x_seen = -1;
+    bool committed = false;
+    try {
+        x_seen = tx_read(tx, &x.v);
+        committed = a.txn_commit(tx);
+    } catch (const detail::AbortTx&) {
+    }
+    CHECK_MSG(!committed || x_seen == 6,
+              "read-only transaction committed a torn snapshot: X=%ld Y=%ld",
+              x_seen, y_seen);
+}
+
 }  // namespace
 
 int main() {
@@ -259,6 +312,7 @@ int main() {
     straddling_write();
     same_orec_self_collision();
     no_false_conflicts_when_roomy();
+    own_stamp_admission_never_sees_foreign_stamp();
 
     // Concurrency under collision pressure, across the CI time-base
     // shapes: exact counter, batched, sharded (the imprecise bases cost
